@@ -47,7 +47,7 @@ PermutationTable PermutationTable::Build(
 Permutation PermutationTable::Get(size_t index) const {
   DP_CHECK(index < point_count_);
   util::BitReader reader(index_stream_);
-  for (size_t skip = 0; skip < index; ++skip) reader.Read(index_width_);
+  reader.Seek(index * static_cast<size_t>(index_width_));
   uint64_t table_index = reader.Read(index_width_);
   return UnrankPermutation(table_[table_index], sites_);
 }

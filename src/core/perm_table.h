@@ -28,7 +28,8 @@ class PermutationTable {
   /// Builds from the per-point permutations (all the same size k).
   static PermutationTable Build(const std::vector<Permutation>& perms);
 
-  /// The permutation of point i, decoded.
+  /// The permutation of point i, decoded.  The index stream is
+  /// fixed-width, so this seeks straight to entry i in O(1).
   Permutation Get(size_t index) const;
 
   /// Number of points stored.

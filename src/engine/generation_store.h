@@ -15,7 +15,8 @@
 //                 so the mmap'd bytes are exactly the in-memory layout
 //     "points"    (string stores)  concatenated PointCodec encodings
 //     "shard<N>"  (index_state=distperm) the N-th shard's exported
-//                 DistPermIndex state, bit-packed permutations included
+//                 DistPermIndex state: bit-packed permutations and the
+//                 distinct-permutation table
 //
 // Restore is bit-identical either way: a "distperm" snapshot feeds the
 // exported state straight back through DistPermIndex's restore
@@ -208,6 +209,17 @@ class SectionCursor {
     p_ += size;
     return true;
   }
+  /// A count-prefixed array of fixed32 values.
+  bool ReadFixed32Array(std::vector<uint32_t>* out) {
+    uint64_t count = 0;
+    if (!ReadFixed64(&count) || remaining() / 4 < count) return false;
+    out->resize(count);
+    for (uint32_t& value : *out) {
+      value = storage::GetFixed32(p_);
+      p_ += 4;
+    }
+    return true;
+  }
   template <typename P>
   bool ReadPoint(P* out) {
     size_t consumed = 0;
@@ -224,8 +236,14 @@ class SectionCursor {
   const uint8_t* end_;
 };
 
+inline void PutFixed32Array(std::string* out,
+                            const std::vector<uint32_t>& values) {
+  storage::PutFixed64(out, values.size());
+  for (uint32_t value : values) storage::PutFixed32(out, value);
+}
+
 /// Serialized DistPermIndex::PackedState (sites via PointCodec, bulk
-/// byte arrays length-prefixed).
+/// arrays count-prefixed).
 template <typename P>
 std::string EncodeDistPermState(
     const typename index::DistPermIndex<P>::PackedState& state) {
@@ -236,13 +254,15 @@ std::string EncodeDistPermState(
   }
   storage::PutFixed64(&out, state.prefix);
   storage::PutDouble(&out, state.fraction);
-  storage::PutFixed64(&out, state.inv_ranks.size());
-  out.append(reinterpret_cast<const char*>(state.inv_ranks.data()),
-             state.inv_ranks.size());
   storage::PutFixed64(&out, state.packed.size());
   out.append(reinterpret_cast<const char*>(state.packed.data()),
              state.packed.size());
   storage::PutFixed64(&out, state.packed_bits);
+  storage::PutFixed64(&out, state.rows.size());
+  out.append(reinterpret_cast<const char*>(state.rows.data()),
+             state.rows.size());
+  PutFixed32Array(&out, state.row_offsets);
+  PutFixed32Array(&out, state.row_ids);
   return out;
 }
 
@@ -256,15 +276,17 @@ bool DecodeDistPermState(const uint8_t* data, uint64_t size,
   for (uint32_t i = 0; i < site_count; ++i) {
     if (!cursor.template ReadPoint<P>(&out->sites[i])) return false;
   }
-  uint64_t prefix = 0, inv_size = 0, packed_size = 0;
+  uint64_t prefix = 0, packed_size = 0, rows_size = 0;
   if (!cursor.ReadFixed64(&prefix)) return false;
   out->prefix = prefix;
   if (!cursor.ReadDouble(&out->fraction)) return false;
-  if (!cursor.ReadFixed64(&inv_size)) return false;
-  if (!cursor.ReadBytes(&out->inv_ranks, inv_size)) return false;
   if (!cursor.ReadFixed64(&packed_size)) return false;
   if (!cursor.ReadBytes(&out->packed, packed_size)) return false;
   if (!cursor.ReadFixed64(&out->packed_bits)) return false;
+  if (!cursor.ReadFixed64(&rows_size)) return false;
+  if (!cursor.ReadBytes(&out->rows, rows_size)) return false;
+  if (!cursor.ReadFixed32Array(&out->row_offsets)) return false;
+  if (!cursor.ReadFixed32Array(&out->row_ids)) return false;
   return cursor.remaining() == 0;
 }
 
@@ -535,15 +557,20 @@ util::Result<std::shared_ptr<const Generation<P>>> ReadGenerationSnapshot(
   if (!state_meta.ok()) return state_meta.status();
   if (state_meta.value() == "distperm") {
     // Pre-decode every shard's state, then hand each to the restore
-    // constructor inside the (possibly parallel) sharded build.
-    std::vector<typename index::DistPermIndex<P>::PackedState> states(
-        shard_count);
+    // constructor inside the (possibly parallel) sharded build.  A
+    // CRC-valid section can still disagree with its shard (snapshot
+    // bytes arrive over the wire on replicas), so the state is checked
+    // against the shard's points here rather than left to the
+    // constructor's fatal check.
+    using Index = index::DistPermIndex<P>;
+    std::vector<typename Index::PackedState> states(shard_count);
     for (size_t s = 0; s < shard_count; ++s) {
       auto section = reader.GetSection("shard" + std::to_string(s));
       if (!section.ok()) return section.status();
       if (!internal::DecodeDistPermState<P>(section.value().data,
                                             section.value().size,
-                                            &states[s])) {
+                                            &states[s]) ||
+          !Index::StateFits(states[s], slices[s])) {
         return util::Status::IoError("snapshot " + path + ": shard " +
                                      std::to_string(s) +
                                      " state is malformed");
@@ -554,7 +581,7 @@ util::Result<std::shared_ptr<const Generation<P>>> ReadGenerationSnapshot(
         [&states](std::vector<P> shard_data,
                   const metric::Metric<P>& shard_metric, size_t s)
             -> std::unique_ptr<index::SearchIndex<P>> {
-          return std::make_unique<index::DistPermIndex<P>>(
+          return std::make_unique<Index>(
               std::move(shard_data), shard_metric, std::move(states[s]));
         },
         build_threads);

@@ -11,14 +11,25 @@
 // search of the original paper.  The index also reports the number of
 // distinct permutations it stores — the quantity this paper counts — and
 // its exact packed storage size.
+//
+// Query-time ranking follows the paper's Section 4 storage argument: a
+// database holds far fewer distinct permutations N than points n, so
+// the index keeps a side table of the distinct ones (as inverted rank
+// rows) with the ids of the points sharing each.  A query scores each
+// distinct row once, O(N k), and touches point ids only for the rows
+// that can fall inside its verification budget.
 
 #ifndef DISTPERM_INDEX_DISTPERM_INDEX_H_
 #define DISTPERM_INDEX_DISTPERM_INDEX_H_
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <numeric>
 #include <string>
-#include <unordered_set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -71,9 +82,11 @@ class DistPermIndex : public SearchIndex<P> {
       for (const P& site : sites_) site_ctx.push_back(flat_.MakeQuery(site));
     }
 
-    inv_ranks_.assign(data_.size() * site_count, 0);
+    field_bits_ = FieldBits(site_count, prefix_);
     std::vector<double> distances(site_count);
     util::BitWriter writer;
+    std::vector<uint8_t> point_rows(data_.size() * site_count,
+                                    static_cast<uint8_t>(prefix_));
     for (size_t i = 0; i < data_.size(); ++i) {
       for (size_t j = 0; j < site_count; ++j) {
         distances[j] =
@@ -87,18 +100,14 @@ class DistPermIndex : public SearchIndex<P> {
               ? core::PermutationFromDistances(distances)
               : core::PermutationPrefixFromDistances(distances, prefix_);
       PackPermutation(perm, &writer);
-      // Invert once at build time: inv_ranks_[i*k + site] is the site's
-      // rank in point i's permutation, or prefix_ for sites absent from
-      // a truncated prefix.  Footrule at query time is then a single
-      // O(k) pass over two rank arrays with no per-pair inversion.
-      uint8_t* ranks = &inv_ranks_[i * site_count];
-      std::fill(ranks, ranks + site_count, static_cast<uint8_t>(prefix_));
+      uint8_t* row = &point_rows[i * site_count];
       for (size_t r = 0; r < perm.size(); ++r) {
-        ranks[perm[r]] = static_cast<uint8_t>(r);
+        row[perm[r]] = static_cast<uint8_t>(r);
       }
     }
     packed_bits_ = writer.bit_count();
     packed_ = writer.Finish();
+    BuildRowTable(point_rows);
   }
 
   /// Everything the index keeps besides the data itself — the exact
@@ -110,9 +119,13 @@ class DistPermIndex : public SearchIndex<P> {
     std::vector<P> sites;
     size_t prefix = 0;
     double fraction = 0.1;
-    std::vector<uint8_t> inv_ranks;
     std::vector<uint8_t> packed;
     uint64_t packed_bits = 0;
+    /// The distinct-row table (see the members of the same names).
+    /// Carried so a restore copies it instead of decoding every record.
+    std::vector<uint8_t> rows;
+    std::vector<uint32_t> row_offsets;
+    std::vector<uint32_t> row_ids;
   };
 
   PackedState ExportPackedState() const {
@@ -120,34 +133,71 @@ class DistPermIndex : public SearchIndex<P> {
     state.sites = sites_;
     state.prefix = prefix_;
     state.fraction = fraction();
-    state.inv_ranks = inv_ranks_;
     state.packed = packed_;
     state.packed_bits = packed_bits_;
+    state.rows = rows_;
+    state.row_offsets = row_offsets_;
+    state.row_ids = row_ids_;
     return state;
   }
 
   /// Restores an index from previously exported state without paying
-  /// the n x k build-time distance evaluations.  The state must match
-  /// `data` (same point count it was exported over); this is checked.
-  /// build_distance_computations() reports 0 for a restored index —
-  /// restoration computes no distances.
+  /// the n x k build-time distance evaluations.  The state's scalar
+  /// fields and array sizes must match `data`; this is checked.  Its
+  /// contents are trusted: state from outside the program must pass
+  /// StateFits first.  build_distance_computations() reports 0 for a
+  /// restored index — restoration computes no distances.
   DistPermIndex(std::vector<P> data, metric::Metric<P> metric,
                 PackedState state)
       : SearchIndex<P>(std::move(data), std::move(metric)),
         flat_(data_, this->metric_),
-        sites_(std::move(state.sites)),
-        prefix_(state.prefix),
-        inv_ranks_(std::move(state.inv_ranks)),
-        packed_(std::move(state.packed)),
-        packed_bits_(state.packed_bits),
         fraction_(state.fraction) {
-    DP_CHECK(!sites_.empty() && sites_.size() <= core::kMaxRank64Sites);
-    DP_CHECK(prefix_ >= 1 && prefix_ <= sites_.size());
-    DP_CHECK(fraction() > 0.0 && fraction() <= 1.0);
-    DP_CHECK_MSG(inv_ranks_.size() == data_.size() * sites_.size(),
+    DP_CHECK_MSG(ShapeFits(state, data_.size()),
                  "restored distperm state does not match the data: "
-                     << inv_ranks_.size() << " ranks for " << data_.size()
-                     << " points x " << sites_.size() << " sites");
+                     << state.packed_bits << " packed bits for "
+                     << data_.size() << " points x " << state.sites.size()
+                     << " sites");
+    sites_ = std::move(state.sites);
+    prefix_ = state.prefix;
+    packed_ = std::move(state.packed);
+    packed_bits_ = state.packed_bits;
+    field_bits_ = FieldBits(sites_.size(), prefix_);
+    rows_ = std::move(state.rows);
+    row_offsets_ = std::move(state.row_offsets);
+    row_ids_ = std::move(state.row_ids);
+  }
+
+  /// Whether `state` can back an index over `data`, checked without
+  /// aborting so a snapshot loader can refuse hostile bytes.  Beyond the
+  /// restore constructor's size checks: vector sites have the data's
+  /// dimension, and the table is well formed — non-empty rows whose
+  /// offsets end at the point count, rank bytes in [0, prefix], and
+  /// in-range ids ascending within each row.  (Search reads only the
+  /// table; the packed records are decoded only on request.)
+  static bool StateFits(const PackedState& state,
+                        const std::vector<P>& data) {
+    const size_t n = data.size();
+    if (!ShapeFits(state, n)) return false;
+    if constexpr (std::is_same_v<P, metric::Vector>) {
+      for (const P& site : state.sites) {
+        if (n > 0 && site.size() != data[0].size()) return false;
+      }
+    }
+    // Branch-free maxima (they vectorize); restore time is gated.
+    uint8_t top_rank = 0;
+    for (uint8_t rank : state.rows) top_rank = std::max(top_rank, rank);
+    uint32_t top_id = 0;
+    for (uint32_t id : state.row_ids) top_id = std::max(top_id, id);
+    if (top_rank > state.prefix || (n > 0 && top_id >= n)) return false;
+    const std::vector<uint32_t>& offsets = state.row_offsets;
+    for (size_t r = 0; r + 1 < offsets.size(); ++r) {
+      const uint32_t begin = offsets[r], end = offsets[r + 1];
+      if (begin >= end || end > n) return false;
+      for (uint32_t v = begin + 1; v < end; ++v) {
+        if (state.row_ids[v] <= state.row_ids[v - 1]) return false;
+      }
+    }
+    return true;
   }
 
   std::string name() const override {
@@ -158,15 +208,10 @@ class DistPermIndex : public SearchIndex<P> {
   uint64_t IndexBits() const override { return packed_bits_; }
 
   /// Number of distinct (possibly truncated) permutations stored — the
-  /// paper's counted quantity.  Decoded from the packed buffer: the
-  /// bit-packed records and the inverted rank table are the only
-  /// permutation storage the index keeps.
+  /// paper's counted quantity N: the row count of the distinct-row
+  /// table.
   size_t DistinctPermutationCount() const {
-    std::unordered_set<uint64_t> seen;
-    for (size_t i = 0; i < data_.size(); ++i) {
-      seen.insert(PrefixKey(DecodePackedPermutation(i)));
-    }
-    return seen.size();
+    return row_offsets_.size() - 1;
   }
 
   /// The stored permutation (or prefix) of database point i.
@@ -178,17 +223,14 @@ class DistPermIndex : public SearchIndex<P> {
   /// are fixed-width, so the reader seeks straight to record i in O(1).
   core::Permutation DecodePackedPermutation(size_t i) const {
     util::BitReader reader(packed_);
+    reader.Seek(i * RecordBits(sites_.size(), prefix_, field_bits_));
     if (prefix_ == sites_.size()) {
-      const int width =
-          util::BitsForFactorial(static_cast<int>(sites_.size()));
-      reader.Seek(i * static_cast<size_t>(width));
-      return core::UnrankPermutation(reader.Read(width), sites_.size());
+      return core::UnrankPermutation(reader.Read(field_bits_),
+                                     sites_.size());
     }
-    const int width = util::BitsFor(sites_.size());
-    reader.Seek(i * prefix_ * static_cast<size_t>(width));
     core::Permutation perm(prefix_);
-    for (size_t r = 0; r < prefix_; ++r) {
-      perm[r] = static_cast<uint8_t>(reader.Read(width));
+    for (uint8_t& site : perm) {
+      site = static_cast<uint8_t>(reader.Read(field_bits_));
     }
     return perm;
   }
@@ -218,24 +260,83 @@ class DistPermIndex : public SearchIndex<P> {
   }
 
  private:
+  /// Bits of one packed field.  A full permutation is one field, its
+  /// Lehmer rank: the densest fixed-width code, ceil(lg k!) bits.  A
+  /// prefix is `prefix` fields of ceil(lg k) bits, one site id each.
+  static int FieldBits(size_t k, size_t prefix) {
+    return prefix == k ? util::BitsForFactorial(static_cast<int>(k))
+                       : util::BitsFor(k);
+  }
+
+  /// Bits of one point's record.
+  static size_t RecordBits(size_t k, size_t prefix, int field_bits) {
+    return (prefix == k ? 1 : prefix) * static_cast<size_t>(field_bits);
+  }
+
+  /// The restore constructor's O(1) check on `state` for `n` points:
+  /// scalar fields in range and every array sized to match.
+  static bool ShapeFits(const PackedState& state, size_t n) {
+    const size_t k = state.sites.size();
+    const size_t prefix = state.prefix;
+    if (k == 0 || k > core::kMaxRank64Sites) return false;
+    if (prefix < 1 || prefix > k) return false;
+    if (!(state.fraction > 0.0 && state.fraction <= 1.0)) return false;
+    if (n > std::numeric_limits<uint32_t>::max()) return false;
+    const size_t record_bits = RecordBits(k, prefix, FieldBits(k, prefix));
+    const std::vector<uint32_t>& offsets = state.row_offsets;
+    return state.packed_bits == n * record_bits &&
+           state.packed.size() == (state.packed_bits + 7) / 8 &&
+           !offsets.empty() && offsets.front() == 0 &&
+           offsets.back() == n &&
+           state.rows.size() == (offsets.size() - 1) * k &&
+           state.row_ids.size() == n;
+  }
+
   void PackPermutation(const core::Permutation& perm,
                        util::BitWriter* writer) const {
     if (prefix_ == sites_.size()) {
-      // Full permutation: densest fixed-width code, ceil(lg k!) bits.
-      writer->Write(core::RankPermutation(perm),
-                    util::BitsForFactorial(static_cast<int>(perm.size())));
+      writer->Write(core::RankPermutation(perm), field_bits_);
       return;
     }
-    // Prefix: one ceil(lg k)-bit field per entry.
-    const int width = util::BitsFor(sites_.size());
-    for (uint8_t site : perm) writer->Write(site, width);
+    for (uint8_t site : perm) writer->Write(site, field_bits_);
   }
 
-  uint64_t PrefixKey(const core::Permutation& perm) const {
-    if (prefix_ == sites_.size()) return core::RankPermutation(perm);
-    uint64_t key = 0;
-    for (uint8_t site : perm) key = key * sites_.size() + site;
-    return key;
+  /// Builds the distinct-row table from every point's rank row
+  /// (`point_rows`, n x k).  The point ids are LSD radix-sorted on their
+  /// row bytes, which are ranks in [0, prefix_]; every pass is stable,
+  /// so each row's ids come out ascending, and equal rows end up
+  /// adjacent for the final dedup.
+  void BuildRowTable(const std::vector<uint8_t>& point_rows) {
+    const size_t n = data_.size();
+    const size_t k = sites_.size();
+    DP_CHECK(n <= std::numeric_limits<uint32_t>::max());
+
+    std::vector<uint32_t> order(n), next(n);
+    std::iota(order.begin(), order.end(), uint32_t{0});
+    std::vector<uint32_t> starts(prefix_ + 2);
+    for (size_t site = k; site-- > 0;) {
+      std::fill(starts.begin(), starts.end(), 0);
+      for (uint32_t id : order) ++starts[point_rows[id * k + site] + 1];
+      std::partial_sum(starts.begin(), starts.end(), starts.begin());
+      for (uint32_t id : order) {
+        next[starts[point_rows[id * k + site]]++] = id;
+      }
+      order.swap(next);
+    }
+
+    const uint8_t* last = nullptr;
+    for (size_t v = 0; v < n; ++v) {
+      const uint8_t* row = &point_rows[order[v] * k];
+      if (last == nullptr || std::memcmp(row, last, k) != 0) {
+        row_offsets_.push_back(static_cast<uint32_t>(v));
+        rows_.insert(rows_.end(), row, row + k);
+        last = row;
+      }
+    }
+    row_offsets_.push_back(static_cast<uint32_t>(n));
+    rows_.shrink_to_fit();
+    row_offsets_.shrink_to_fit();
+    row_ids_ = std::move(order);
   }
 
   /// Points to verify on this call: `override_fraction` (a per-request
@@ -249,14 +350,20 @@ class DistPermIndex : public SearchIndex<P> {
     return std::max<size_t>(1, std::min(budget, data_.size()));
   }
 
-  /// Computes the query permutation, scores every stored point with the
-  /// O(k) rank-array footrule, selects the `budget` footrule-closest
-  /// candidates with std::nth_element (partial selection — the N-budget
-  /// unverified scores are never fully ordered), sorts only the
-  /// selected slice into the canonical (footrule, id) order, and
-  /// verifies it.  The candidate sequence is identical to fully
-  /// ordering the database by (footrule, id) and taking the first
-  /// `budget`, i.e. to the original full-sort formulation.
+  /// Computes the query permutation and selects the `budget`
+  /// footrule-closest points through the distinct-row table:
+  ///   1. score each distinct row once with the O(k) rank-array
+  ///      footrule;
+  ///   2. histogram the points per footrule value (at most k * prefix
+  ///      + 1 buckets);
+  ///   3. find the cutoff T, the smallest footrule whose cumulative
+  ///      count reaches the budget;
+  ///   4. gather the (footrule, id) pairs of the rows scoring <= T,
+  ///      partially select the budget with std::nth_element, sort only
+  ///      that slice, and verify it.
+  /// The candidate sequence is identical to fully ordering the database
+  /// by (footrule, id) and taking the first `budget`, i.e. to the
+  /// original full-sort formulation.
   void ScanByFootrule(const P& query, size_t budget,
                       SearchContext* context) const {
     QueryStats* stats = context->stats();
@@ -276,17 +383,31 @@ class DistPermIndex : public SearchIndex<P> {
       query_ranks[query_perm[r]] = static_cast<uint8_t>(r);
     }
 
-    std::vector<std::pair<uint32_t, uint32_t>>& scored =
-        QueryScratch::ForThread().scored;
-    scored.clear();
-    scored.reserve(data_.size());
-    const uint8_t* inv = inv_ranks_.data();
-    for (size_t i = 0; i < data_.size(); ++i) {
-      const int f = core::FootruleFromRanks(query_ranks, inv + i * k, k);
-      scored.emplace_back(static_cast<uint32_t>(f),
-                          static_cast<uint32_t>(i));
+    QueryScratch& scratch = QueryScratch::ForThread();
+    std::vector<uint32_t>& row_scores = scratch.row_scores;
+    std::vector<uint32_t>& counts = scratch.footrule_counts;
+    const size_t rows = DistinctPermutationCount();
+    row_scores.resize(rows);
+    counts.assign(k * prefix_ + 1, 0);
+    for (size_t r = 0; r < rows; ++r) {
+      const int f = core::FootruleFromRanks(query_ranks, &rows_[r * k], k);
+      row_scores[r] = static_cast<uint32_t>(f);
+      counts[f] += row_offsets_[r + 1] - row_offsets_[r];
     }
-    budget = std::min(budget, scored.size());
+    budget = std::min(budget, data_.size());  // VerifyBudget is >= 1
+    uint32_t cutoff = 0;
+    for (size_t covered = counts[0]; covered < budget;) {
+      covered += counts[++cutoff];
+    }
+
+    std::vector<std::pair<uint32_t, uint32_t>>& scored = scratch.scored;
+    scored.clear();
+    for (size_t r = 0; r < rows; ++r) {
+      if (row_scores[r] > cutoff) continue;
+      for (uint32_t v = row_offsets_[r]; v < row_offsets_[r + 1]; ++v) {
+        scored.emplace_back(row_scores[r], row_ids_[v]);
+      }
+    }
     if (budget < scored.size()) {
       std::nth_element(scored.begin(), scored.begin() + budget,
                        scored.end());
@@ -295,7 +416,7 @@ class DistPermIndex : public SearchIndex<P> {
 
     // Candidates past the verification budget are dropped on their
     // footrule score alone; everything inside it pays a true distance.
-    stats->pruning_eliminated += scored.size() - budget;
+    stats->pruning_eliminated += data_.size() - budget;
 
     const bool flat = flat_.enabled();
     const auto ctx = flat ? flat_.MakeQuery(query)
@@ -314,13 +435,19 @@ class DistPermIndex : public SearchIndex<P> {
   FlatDataPath<P> flat_;
   std::vector<P> sites_;
   size_t prefix_ = 0;
-  /// Row i holds the inverted permutation of point i: entry `site` is
-  /// the site's rank, or prefix_length() for sites outside a stored
-  /// prefix.  Flat n x k layout, one cache-resident O(k) pass per
-  /// (query, point) footrule.
-  std::vector<uint8_t> inv_ranks_;
+  /// One bit-packed record per point (see FieldBits), behind
+  /// IndexBits and DecodePackedPermutation.
   std::vector<uint8_t> packed_;
   size_t packed_bits_ = 0;
+  int field_bits_ = 0;
+  /// The distinct-row table, in CSR form.  Row r (k bytes at
+  /// rows_[r * k]) is a distinct inverted permutation: entry `site` is
+  /// the site's rank, or prefix_length() for sites outside a stored
+  /// prefix.  The points holding it are row_ids_[row_offsets_[r] ..
+  /// row_offsets_[r + 1]), ascending.
+  std::vector<uint8_t> rows_;
+  std::vector<uint32_t> row_offsets_;
+  std::vector<uint32_t> row_ids_;
   std::atomic<double> fraction_;
 };
 

@@ -3,11 +3,12 @@
 // The engine layer answers batches by fanning (query, shard) tasks onto
 // a fixed worker pool (util::ThreadPool), so the same few threads run
 // millions of queries.  Each index query needs transient buffers — a
-// block of kernel scores, an array of (footrule, id) candidates, an
-// array of (lower bound, id) pairs — that used to be heap-allocated per
-// call.  QueryScratch keeps one instance of each per thread: buffers
-// grow to the high-water mark of the queries that thread serves and are
-// then reused allocation-free.
+// block of kernel scores, per-row footrules and a footrule histogram,
+// an array of (footrule, id) candidates, an array of (lower bound, id)
+// pairs — that used to be heap-allocated per call.  QueryScratch keeps
+// one instance of each per thread: buffers grow to the high-water mark
+// of the queries that thread serves and are then reused
+// allocation-free.
 //
 // Contract: a query implementation may use the scratch only within one
 // Impl call (no state may live across calls — queries stay reentrant
@@ -28,6 +29,10 @@ namespace index {
 struct QueryScratch {
   /// Kernel scores for one block of rows (linear scan).
   std::vector<double> distance_block;
+  /// Footrule of each distinct permutation row (distperm index).
+  std::vector<uint32_t> row_scores;
+  /// Point count per footrule value (distperm index).
+  std::vector<uint32_t> footrule_counts;
   /// (footrule, id) candidate ranking (distperm index).
   std::vector<std::pair<uint32_t, uint32_t>> scored;
   /// (lower bound, id) verification order (LAESA).

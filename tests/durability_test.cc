@@ -26,10 +26,12 @@
 #include "engine/query.h"
 #include "engine/query_engine.h"
 #include "engine/sharded_database.h"
+#include "index/distperm_index.h"
 #include "metric/lp.h"
 #include "metric/string_metrics.h"
 #include "obs/metrics.h"
 #include "storage/env.h"
+#include "storage/snapshot.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -170,6 +172,91 @@ TEST(Durability, MismatchedIdentityIsRefused) {
   EXPECT_FALSE(
       LiveDatabase<Vector>::Open({}, L2(), 3, WithWal("vp-tree", dir), 7)
           .ok());
+}
+
+// A CRC-valid snapshot whose distperm shard state disagrees with the
+// shard (replicas bootstrap from bytes received over the wire) must be
+// refused with an error, never reach the restore constructor's fatal
+// check.
+TEST(Snapshot, RejectsDistPermStateThatDisagreesWithItsShard) {
+  using State = index::DistPermIndex<Vector>::PackedState;
+  storage::Env* env = storage::Env::Default();
+  const std::string dir = FreshStoreDir("snapshot_hostile_state");
+  const std::string spec = "distperm:k=6";
+  util::Rng rng(17);
+  auto generation = Generation<Vector>::Build(
+      dataset::UniformCube(400, 3, &rng), L2(), 2, spec, 9, 1);
+  ASSERT_TRUE(generation.ok()) << generation.status();
+  const std::string good = dir + "/good.snap";
+  ASSERT_TRUE(
+      WriteGenerationSnapshot<Vector>(env, good, *generation.value()).ok());
+  auto reader = storage::SnapshotReader::Open(env, good);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+
+  // Rewrites the snapshot with shard 0's state passed through `tamper`;
+  // every checksum in the result is valid.
+  const auto load_tampered = [&](const std::function<void(State*)>& tamper) {
+    storage::SnapshotWriter writer;
+    for (const auto& [key, value] : reader.value().meta()) {
+      writer.SetMeta(key, value);
+    }
+    for (const std::string name : {"vectors", "shard0", "shard1"}) {
+      auto section = reader.value().GetSection(name);
+      EXPECT_TRUE(section.ok()) << name;
+      std::string bytes(reinterpret_cast<const char*>(section.value().data),
+                        section.value().size);
+      if (name == "shard0") {
+        State state;
+        EXPECT_TRUE(internal::DecodeDistPermState<Vector>(
+            section.value().data, section.value().size, &state));
+        tamper(&state);
+        bytes = internal::EncodeDistPermState<Vector>(state);
+      }
+      writer.AddSection(name, std::move(bytes));
+    }
+    const std::string path = dir + "/tampered.snap";
+    EXPECT_TRUE(writer.Write(env, path).ok());
+    return ReadGenerationSnapshot<Vector>(env, path, L2(), 2, spec, 9, 1);
+  };
+
+  auto untouched = load_tampered([](State*) {});
+  ASSERT_TRUE(untouched.ok()) << untouched.status();
+  EXPECT_EQ(untouched.value()->size(), 400u);
+
+  // Six sites: full permutations are 10-bit Lehmer ranks (6! = 720),
+  // and rank rows hold values in [0, 6].
+  const std::vector<std::pair<const char*, std::function<void(State*)>>>
+      hostile = {
+          {"packed_bits off by one", [](State* s) { ++s->packed_bits; }},
+          {"packed bytes short", [](State* s) { s->packed.pop_back(); }},
+          {"one record short",
+           [](State* s) {
+             s->packed_bits -= 10;
+             s->packed.resize((s->packed_bits + 7) / 8);
+           }},
+          {"table offsets end short",
+           [](State* s) { --s->row_offsets.back(); }},
+          {"table offset past the end",
+           [](State* s) { s->row_offsets[1] = 1000; }},
+          {"table id out of range",
+           [](State* s) { s->row_ids.front() = 400; }},
+          {"table rank above the prefix",
+           [](State* s) { s->rows.front() = 7; }},
+          {"table row missing", [](State* s) { s->rows.pop_back(); }},
+          {"prefix zero", [](State* s) { s->prefix = 0; }},
+          {"fraction above one", [](State* s) { s->fraction = 2.0; }},
+          {"no sites", [](State* s) { s->sites.clear(); }},
+          {"site of the wrong dimension",
+           [](State* s) { s->sites[0].push_back(0.5); }},
+      };
+  for (const auto& [what, tamper] : hostile) {
+    auto loaded = load_tampered(tamper);
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kIoError) << what;
+    EXPECT_NE(loaded.status().message().find("state is malformed"),
+              std::string::npos)
+        << what << ": " << loaded.status();
+  }
 }
 
 // ------------------------------------------------- reopen is bit-identical

@@ -29,6 +29,8 @@ using index::DistPermIndex;
 using index::LaesaIndex;
 using index::LinearScanIndex;
 using index::QueryStats;
+using index::SearchRequest;
+using index::SearchResponse;
 using index::SearchResult;
 using metric::Metric;
 using metric::Vector;
@@ -153,11 +155,13 @@ TEST(FlatPath, DistPermMatchesScalarPathBitExactly) {
 
 // Reimplementation of the seed's candidate ranking — per-pair footrule
 // over the stored permutations, counting-sorted over the full footrule
-// range — to pin that the nth_element partial selection visits the
-// exact same candidates in the exact same order.
+// range — to pin that the table-backed selection visits the exact same
+// candidates in the exact same order.  `footrules`, when non-null,
+// receives the footrule of each returned id.
 std::vector<uint32_t> SeedCandidateOrder(const DistPermIndex<Vector>& index,
-                                         const Vector& query,
-                                         size_t budget) {
+                                         const Vector& query, size_t budget,
+                                         std::vector<int>* footrules =
+                                             nullptr) {
   const auto& metric = index.metric();
   const size_t k = index.sites().size();
   std::vector<double> distances(k);
@@ -180,13 +184,28 @@ std::vector<uint32_t> SeedCandidateOrder(const DistPermIndex<Vector>& index,
     buckets[static_cast<size_t>(f)].push_back(static_cast<uint32_t>(i));
   }
   std::vector<uint32_t> order;
-  for (const auto& bucket : buckets) {
-    for (uint32_t id : bucket) {
+  for (size_t f = 0; f < buckets.size(); ++f) {
+    for (uint32_t id : buckets[f]) {
       if (order.size() >= budget) return order;
       order.push_back(id);
+      if (footrules != nullptr) footrules->push_back(static_cast<int>(f));
     }
   }
   return order;
+}
+
+// Ids of a range query with infinite radius — exactly the verified
+// candidates — sorted.
+std::vector<uint32_t> VerifiedIds(const DistPermIndex<Vector>& index,
+                                  const SearchRequest<Vector>& request) {
+  SearchResponse response = index.Search(request);
+  EXPECT_TRUE(response.status.ok());
+  std::vector<uint32_t> ids;
+  for (const SearchResult& r : response.results) {
+    ids.push_back(static_cast<uint32_t>(r.id));
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 TEST(FlatPath, DistPermPartialSelectionMatchesSeedOrdering) {
@@ -215,6 +234,61 @@ TEST(FlatPath, DistPermPartialSelectionMatchesSeedOrdering) {
       std::sort(expect.begin(), expect.end());
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, expect);
+    }
+  }
+
+  // Tie-heavy inputs: on 1-d and 2-d data six sites induce few distinct
+  // permutations, so most points share a footrule with many others and
+  // the budget's cutoff usually splits a footrule bucket.  The order is
+  // pinned, not just the set: a distance budget of k + m stops the
+  // search after m verifications, which must be the first m candidates
+  // of the seed order.
+  constexpr size_t kSites = 6;
+  const double inf = std::numeric_limits<double>::infinity();
+  for (size_t dim : {1u, 2u}) {
+    for (size_t prefix : {0u, 3u}) {
+      util::Rng data_rng(500 + 10 * dim + prefix);
+      auto data = dataset::UniformCube(240, dim, &data_rng);
+      auto queries = QueryPoints(5, dim, &data_rng);
+      util::Rng site_rng(23);
+      DistPermIndex<Vector> index(data, metric::LpMetric::L2(), kSites,
+                                  &site_rng, 1.0, prefix);
+      const double n = static_cast<double>(data.size());
+      for (const Vector& q : queries) {
+        std::vector<int> footrules;
+        const std::vector<uint32_t> full =
+            SeedCandidateOrder(index, q, data.size(), &footrules);
+        // A budget strictly inside the footrule bucket that holds the
+        // candidate at position n / 3.
+        size_t lo = data.size() / 3, hi = lo + 1;
+        while (lo > 0 && footrules[lo - 1] == footrules[lo]) --lo;
+        while (hi < full.size() && footrules[hi] == footrules[lo]) ++hi;
+        ASSERT_GE(hi - lo, 2u) << "dim " << dim << " prefix " << prefix;
+        const size_t inside = lo + (hi - lo) / 2;
+        ASSERT_EQ(footrules[inside - 1], footrules[inside]);
+        for (size_t budget : {size_t{1}, inside, data.size()}) {
+          // Truncates to exactly `budget` in VerifyBudget.
+          const double fraction =
+              std::min(1.0, (static_cast<double>(budget) + 0.5) / n);
+          auto request =
+              SearchRequest<Vector>::Range(q, inf)
+                  .WithCandidateFraction(fraction);
+          std::vector<uint32_t> expect(full.begin(), full.begin() + budget);
+          std::sort(expect.begin(), expect.end());
+          EXPECT_EQ(VerifiedIds(index, request), expect)
+              << "dim " << dim << " prefix " << prefix << " budget "
+              << budget;
+          for (size_t m = 1; m <= budget; ++m) {
+            std::vector<uint32_t> first(full.begin(), full.begin() + m);
+            std::sort(first.begin(), first.end());
+            ASSERT_EQ(VerifiedIds(index, request.WithDistanceBudget(
+                                             kSites + m)),
+                      first)
+                << "dim " << dim << " prefix " << prefix << " budget "
+                << budget << " m " << m;
+          }
+        }
+      }
     }
   }
 }

@@ -88,6 +88,19 @@ TEST(PermTable, SinglePermutationDatabaseUsesZeroIndexBits) {
   }
 }
 
+TEST(PermTable, GetSeeksToEveryIndexOfALargeTable) {
+  // 300 distinct permutations -> 9-bit indexes, so entries straddle
+  // byte boundaries.  Reading back to front shows Get depends on no
+  // earlier read.
+  auto perms = RandomPerms(4000, 10, 19, 300);
+  PermutationTable table = PermutationTable::Build(perms);
+  ASSERT_EQ(table.index_bits_per_point(), util::BitsFor(table.distinct()));
+  ASSERT_GT(table.distinct(), 256u);
+  for (size_t i = perms.size(); i-- > 0;) {
+    ASSERT_EQ(table.Get(i), perms[i]) << i;
+  }
+}
+
 TEST(Entropy, UniformOverPoolApproachesLgPool) {
   auto perms = RandomPerms(20000, 8, 5, 16);
   double entropy = PermutationEntropyBits(perms);
