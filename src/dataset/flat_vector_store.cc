@@ -8,7 +8,10 @@
 namespace distperm {
 namespace dataset {
 
-FlatVectorStore::FlatVectorStore(const std::vector<metric::Vector>& points) {
+FlatVectorStore::FlatVectorStore(const std::vector<metric::Vector>& points,
+                                 const std::vector<uint32_t>& row_order) {
+  DP_CHECK_MSG(row_order.empty() || row_order.size() == points.size(),
+               "FlatVectorStore row order must cover every point");
   if (points.empty()) return;
   dim_ = points.front().size();
   DP_CHECK_MSG(dim_ >= 1, "FlatVectorStore requires dimension >= 1");
@@ -28,8 +31,10 @@ FlatVectorStore::FlatVectorStore(const std::vector<metric::Vector>& points) {
   data_.reset(raw);
 
   for (size_t i = 0; i < size_; ++i) {
+    const size_t source = row_order.empty() ? i : row_order[i];
+    DP_CHECK_MSG(source < size_, "FlatVectorStore row order out of range");
     double* row = raw + i * stride_;
-    std::memcpy(row, points[i].data(), dim_ * sizeof(double));
+    std::memcpy(row, points[source].data(), dim_ * sizeof(double));
     std::fill(row + dim_, row + stride_, 0.0);
   }
 }

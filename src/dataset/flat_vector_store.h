@@ -49,8 +49,12 @@ class FlatVectorStore {
 
   /// Packs `points` into the flat buffer.  All points must share one
   /// dimension >= 1 (fatal otherwise); an empty database yields an
-  /// empty store.
-  explicit FlatVectorStore(const std::vector<metric::Vector>& points);
+  /// empty store.  An empty `row_order` stores points[r] as row r; a
+  /// non-empty one must be a permutation of the point ids and stores
+  /// points[row_order[r]] as row r, so an index can lay rows out in the
+  /// order its search visits them (the vp-tree's pre-order nodes).
+  explicit FlatVectorStore(const std::vector<metric::Vector>& points,
+                           const std::vector<uint32_t>& row_order = {});
 
   FlatVectorStore(FlatVectorStore&&) = default;
   FlatVectorStore& operator=(FlatVectorStore&&) = default;

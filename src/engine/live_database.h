@@ -65,6 +65,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -699,6 +700,8 @@ class LiveDatabase {
   /// NOT applied.
   util::Result<size_t> Insert(P point) {
     std::lock_guard<std::mutex> lock(write_mutex_);
+    util::Status shape = CheckPointDimension(point);
+    if (!shape.ok()) return shape;
     util::Status room = EnsureRoomLocked();
     if (!room.ok()) return room;
     // Route against the serving generation: the routing decides which
@@ -714,6 +717,7 @@ class LiveDatabase {
       if (!logged.ok()) return logged;
     }
     const size_t id = writer_base_size_ + writer_inserts_;
+    RecordPointDimension(point);
     DP_CHECK(log_->Append({/*is_remove=*/false, id, shard, std::move(point)}));
     ++writer_inserts_;
     writer_insert_shard_.emplace(id, shard);
@@ -797,6 +801,9 @@ class LiveDatabase {
         return util::Status::NotFound(
             "LiveDatabase: no live point with id " + std::to_string(id));
       }
+    } else {
+      util::Status shape = CheckPointDimension(op.point);
+      if (!shape.ok()) return shape;
     }
     util::Status room = EnsureRoomLocked();
     if (!room.ok()) return room;
@@ -810,6 +817,7 @@ class LiveDatabase {
       writer_removed_.insert(id);
     } else {
       const size_t id = writer_base_size_ + writer_inserts_;
+      RecordPointDimension(op.point);
       DP_CHECK(log_->Append(
           {/*is_remove=*/false, id, op.shard, std::move(op.point)}));
       ++writer_inserts_;
@@ -1349,6 +1357,25 @@ class LiveDatabase {
   size_t size() const { return Pin().live_size(); }
 
   const metric::Metric<P>& metric() const { return metric_; }
+
+  /// InvalidArgument when `point` has a dimension (metric::PointDimension)
+  /// other than the one every stored point shares.  The store records
+  /// its dimension from its first point — a base point at open, or the
+  /// first insert into an empty store — and always accepts point types
+  /// without one.  Insert and ApplyReplicated check it before the WAL
+  /// append; servers check query points with it before computing any
+  /// distance, since the metric kernels treat a mismatch as a bug.
+  util::Status CheckPointDimension(const P& point) const {
+    const std::optional<size_t> got = metric::PointDimension(point);
+    const size_t want = point_dimension_.load(std::memory_order_acquire);
+    if (!got.has_value() || want == kNoDimension || *got == want) {
+      return util::Status::OK();
+    }
+    return util::Status::InvalidArgument(
+        "point has dimension " + std::to_string(*got) +
+        ", the store holds dimension " + std::to_string(want));
+  }
+
   size_t shard_count() const { return shard_count_; }
   /// The residual index spec every generation is built from.
   const std::string& index_spec() const { return index_spec_; }
@@ -1385,9 +1412,26 @@ class LiveDatabase {
     published_generation_.store(generation->number(),
                                 std::memory_order_relaxed);
     writer_generation_ = generation;
+    const ShardedDatabase<P>& base = generation->database();
+    for (size_t s = 0; s < base.shard_count(); ++s) {
+      if (base.shard(s).size() > 0) {
+        RecordPointDimension(base.shard(s).data().front());
+        break;
+      }
+    }
     state_.store(std::make_shared<const State>(
         State{std::move(generation), log_, nullptr}));
     if (options.metrics != nullptr) EnableMetrics(options.metrics);
+  }
+
+  /// Adopts `point`'s dimension as the store's if none is recorded yet
+  /// (see CheckPointDimension).  Construction or under write_mutex_.
+  void RecordPointDimension(const P& point) {
+    const std::optional<size_t> dim = metric::PointDimension(point);
+    if (dim.has_value() &&
+        point_dimension_.load(std::memory_order_relaxed) == kNoDimension) {
+      point_dimension_.store(*dim, std::memory_order_release);
+    }
   }
 
   /// The registry spec the per-shard delta side-indexes are built
@@ -1583,7 +1627,14 @@ class LiveDatabase {
           " — the log does not match the snapshot");
     }
     if (!op.is_remove) {
+      util::Status shape = CheckPointDimension(op.point);
+      if (!shape.ok()) {
+        return util::Status::IoError("recovery: wal insert rejected (" +
+                                     shape.message() +
+                                     ") — the log does not match the store");
+      }
       const size_t id = writer_base_size_ + writer_inserts_;
+      RecordPointDimension(op.point);
       if (!log_->Append({false, id, op.shard, std::move(op.point)})) {
         return util::Status::OutOfRange(
             "recovery: delta log capacity exceeded during replay");
@@ -2014,6 +2065,12 @@ class LiveDatabase {
   std::atomic<size_t> published_delta_depth_{0};
   std::atomic<uint64_t> mutation_clock_{0};
   std::atomic<uint64_t> remove_clock_{0};
+
+  /// The dimension every stored point shares (see CheckPointDimension);
+  /// set once, by the constructor or the first insert into an empty
+  /// store, and read without the write mutex by query admission.
+  static constexpr size_t kNoDimension = std::numeric_limits<size_t>::max();
+  std::atomic<size_t> point_dimension_{kNoDimension};
 
   /// Writer-side bookkeeping, all under write_mutex_: the current log
   /// (same object as state_'s), the id counters for assignment, and the

@@ -24,11 +24,13 @@
 // ScoreToDistance finishes the survivors, and RangeScoreBound gives a
 // conservative squared-radius filter that is re-checked exactly.
 //
-// Memory tradeoff: a flat-enabled index holds the packed store next to
-// the SearchIndex's own std::vector<P> copy (whose data() accessor and
-// scalar fallback the base API guarantees) — roughly 2x the raw
-// database bytes.  Deduplicating requires the base class to serve
-// data() from the store and is deliberately out of scope here.
+// Memory tradeoff: a flat-enabled index (linear scan, LAESA, distperm,
+// and the vp-tree, whose store is packed in node order) holds the
+// packed store next to the SearchIndex's own std::vector<P> copy (whose
+// data() accessor and scalar fallback the base API guarantees) —
+// roughly 2x the raw database bytes.  Deduplicating requires the base
+// class to serve data() from the store and is deliberately out of scope
+// here.
 
 #ifndef DISTPERM_INDEX_FLAT_DATA_PATH_H_
 #define DISTPERM_INDEX_FLAT_DATA_PATH_H_
@@ -63,7 +65,8 @@ class FlatDataPath {
   struct QueryContext {};
 
   FlatDataPath() = default;
-  FlatDataPath(const std::vector<P>&, const metric::Metric<P>&) {}
+  FlatDataPath(const std::vector<P>&, const metric::Metric<P>&,
+               const std::vector<uint32_t>& = {}) {}
 
   bool enabled() const { return false; }
   QueryContext MakeQuery(const P&) const { return {}; }
@@ -118,9 +121,13 @@ class FlatDataPath<metric::Vector> {
 
   /// Packs `data` if the metric is kernel-tagged and the database is a
   /// non-empty, non-ragged set of dimension >= 1; otherwise stays
-  /// disabled and the caller falls back to scalar evaluation.
+  /// disabled and the caller falls back to scalar evaluation.  A
+  /// non-empty `row_order` packs data[row_order[r]] as row r (see
+  /// FlatVectorStore); every row-indexed method then addresses rows in
+  /// that order.
   FlatDataPath(const std::vector<metric::Vector>& data,
-               const metric::Metric<metric::Vector>& metric)
+               const metric::Metric<metric::Vector>& metric,
+               const std::vector<uint32_t>& row_order = {})
       : kind_(metric.vector_kernel()) {
     if (kind_ == metric::VectorKernelKind::kNone || data.empty()) {
       kind_ = metric::VectorKernelKind::kNone;
@@ -137,7 +144,7 @@ class FlatDataPath<metric::Vector> {
         return;
       }
     }
-    store_ = dataset::FlatVectorStore(data);
+    store_ = dataset::FlatVectorStore(data, row_order);
     if (kind_ == metric::VectorKernelKind::kAngle) {
       norms_.resize(store_.size());
       for (size_t i = 0; i < store_.size(); ++i) {

@@ -13,8 +13,10 @@
 #ifndef DISTPERM_METRIC_METRIC_H_
 #define DISTPERM_METRIC_METRIC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +29,19 @@ using Vector = std::vector<double>;
 
 /// Sparse vector (sorted by dimension id) used by document spaces.
 using SparseVector = std::vector<std::pair<uint32_t, double>>;
+
+/// The number of coordinates a point of type P must share with every
+/// other point of its space, or nullopt for point types without a fixed
+/// dimension (strings, sparse vectors, trees).  Stores use it to refuse
+/// a point whose dimension differs from theirs before any distance
+/// sees it.
+template <typename P>
+std::optional<size_t> PointDimension(const P&) {
+  return std::nullopt;
+}
+inline std::optional<size_t> PointDimension(const Vector& point) {
+  return point.size();
+}
 
 /// Identifies a dense-vector metric with a vectorized kernel (see
 /// kernels.h).  Metrics tagged with anything but kNone evaluate, on

@@ -16,7 +16,10 @@
 // Rejected requests get an explicit kUnavailable response — overload
 // is an answer, not a dropped connection.  The first request of a
 // batch is always admitted, so a budget below the cost of one search
-// degrades to serial execution instead of livelock.
+// degrades to serial execution instead of livelock.  A query point
+// whose dimension differs from the store's gets kInvalidArgument before
+// the cache or the engine sees it (LiveDatabase::Insert refuses such
+// points the same way).
 //
 // The perm cache (see perm_cache.h) sits in front of the engine:
 // mutation tags are read BEFORE the snapshot pin, hits replay verbatim
@@ -252,8 +255,10 @@ class SearchServer {
   struct BatchItem {
     index::SearchRequest<P> request;
     bool no_cache = false;
-    bool rejected = false;
-    std::string reject_message;
+    /// Set when the request is answered without running: a query
+    /// point of the wrong dimension (kInvalidArgument) or an admission
+    /// rejection (kUnavailable).
+    net::WireStatus reject;
   };
 
   /// Evenly spaced ids over the initial snapshot; removed ids (holes)
@@ -534,11 +539,10 @@ class SearchServer {
   /// guarantee); after that, estimated cost must fit the budget.
   void Admit(BatchItem* item, size_t batch_size, uint64_t* batch_cost) {
     if (batch_size >= options_.max_requests_per_connection) {
-      item->rejected = true;
-      item->reject_message =
+      item->reject = net::WireStatus::Unavailable(
           "admission: per-connection request cap (" +
           std::to_string(options_.max_requests_per_connection) +
-          ") exceeded";
+          ") exceeded");
       Count(&overloads_, obs_overload_);
       return;
     }
@@ -550,11 +554,10 @@ class SearchServer {
     }
     if (options_.max_inflight_distance_budget > 0 && batch_size > 0 &&
         *batch_cost + estimate > options_.max_inflight_distance_budget) {
-      item->rejected = true;
-      item->reject_message =
+      item->reject = net::WireStatus::Unavailable(
           "admission: distance budget exhausted (estimated " +
           std::to_string(estimate) + " over a batch budget of " +
-          std::to_string(options_.max_inflight_distance_budget) + ")";
+          std::to_string(options_.max_inflight_distance_budget) + ")");
       Count(&overloads_, obs_overload_);
       return;
     }
@@ -583,7 +586,15 @@ class SearchServer {
     std::vector<size_t> engine_index(count, kNotRun);
     for (size_t i = 0; i < count; ++i) {
       BatchItem& item = (*batch)[i];
-      if (item.rejected) continue;
+      // A wrong-dimension point must never reach the perm cache's site
+      // distances or the engine: the kernels abort on it.  Checked
+      // after the pin, so a snapshot holding any point already sees
+      // the store's recorded dimension.
+      if (item.reject.ok()) {
+        item.reject = net::WireStatus::FromStatus(
+            db_->CheckPointDimension(item.request.point));
+      }
+      if (!item.reject.ok()) continue;
       if (cache_ && !item.no_cache) {
         probes[i] = cache_->Lookup(item.request, tags, bounds_allowed_);
         if (probes[i].hit) continue;
@@ -605,8 +616,8 @@ class SearchServer {
     for (size_t i = 0; i < count; ++i) {
       BatchItem& item = (*batch)[i];
       net::WireSearchResponse response;
-      if (item.rejected) {
-        response.status = net::WireStatus::Unavailable(item.reject_message);
+      if (!item.reject.ok()) {
+        response.status = item.reject;
       } else if (probes[i].hit) {
         response = probes[i].cached;
         response.cache_hit = true;

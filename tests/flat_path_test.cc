@@ -1,25 +1,31 @@
 // Equivalence tests for the flat blocked data path: every index that
-// adopts it (linear scan, LAESA, distperm) must return bit-identical
-// results AND bit-identical distance-computation counts to the scalar
-// Metric<P> path.  The scalar path is forced by wrapping the same
-// kernel-tagged metric in an untagged lambda Metric — the distance
-// function is the very same code, only the index's data path changes.
+// adopts it (linear scan, LAESA, distperm, vp-tree) must return
+// bit-identical results AND bit-identical distance-computation counts
+// to the scalar Metric<P> path.  The scalar path is forced by wrapping
+// the same kernel-tagged metric in an untagged lambda Metric — the
+// distance function is the very same code, only the index's data path
+// changes.
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/distance_permutation.h"
 #include "core/perm_metrics.h"
+#include "dataset/string_gen.h"
 #include "dataset/vector_gen.h"
 #include "gtest/gtest.h"
 #include "index/distperm_index.h"
 #include "index/laesa.h"
 #include "index/linear_scan.h"
+#include "index/vp_tree.h"
 #include "metric/cosine.h"
 #include "metric/lp.h"
+#include "metric/string_metrics.h"
 #include "util/rng.h"
 
 namespace distperm {
@@ -32,6 +38,7 @@ using index::QueryStats;
 using index::SearchRequest;
 using index::SearchResponse;
 using index::SearchResult;
+using index::VpTreeIndex;
 using metric::Metric;
 using metric::Vector;
 
@@ -289,6 +296,188 @@ TEST(FlatPath, DistPermPartialSelectionMatchesSeedOrdering) {
           }
         }
       }
+    }
+  }
+}
+
+// Reference copy of the pointer-based vp-tree the node array replaced:
+// heap nodes linked by unique_ptr, built recursively from the same rng
+// draws, searched with scalar metric evaluations.  Pins that the
+// pre-order node array visits the same nodes in the same order with
+// the same pruning.
+template <typename P>
+class SeedVpTreeIndex : public index::SearchIndex<P> {
+ public:
+  using index::SearchIndex<P>::data_;
+
+  SeedVpTreeIndex(std::vector<P> data, Metric<P> metric, util::Rng* rng)
+      : index::SearchIndex<P>(std::move(data), std::move(metric)) {
+    std::vector<size_t> ids(data_.size());
+    for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
+    root_ = Build(ids, rng);
+  }
+  std::string name() const override { return "seed-vp-tree"; }
+  uint64_t IndexBits() const override { return 0; }
+
+ protected:
+  void SearchImpl(const SearchRequest<P>& request,
+                  index::SearchContext* context) const override {
+    SearchNode(root_.get(), request.point, context);
+  }
+
+ private:
+  struct Node {
+    size_t vantage;
+    double median = 0.0;
+    std::unique_ptr<Node> inside;
+    std::unique_ptr<Node> outside;
+  };
+
+  std::unique_ptr<Node> Build(std::vector<size_t>& ids, util::Rng* rng) {
+    if (ids.empty()) return nullptr;
+    auto node = std::make_unique<Node>();
+    size_t pick = static_cast<size_t>(rng->NextBounded(ids.size()));
+    std::swap(ids[pick], ids.back());
+    node->vantage = ids.back();
+    ids.pop_back();
+    if (ids.empty()) return node;
+    std::vector<std::pair<double, size_t>> by_distance;
+    for (size_t id : ids) {
+      by_distance.emplace_back(
+          this->BuildDist(data_[node->vantage], data_[id]), id);
+    }
+    size_t half = by_distance.size() / 2;
+    std::nth_element(by_distance.begin(), by_distance.begin() + half,
+                     by_distance.end());
+    node->median = by_distance[half].first;
+    std::vector<size_t> inside_ids, outside_ids;
+    for (const auto& [d, id] : by_distance) {
+      (d < node->median ? inside_ids : outside_ids).push_back(id);
+    }
+    node->inside = Build(inside_ids, rng);
+    node->outside = Build(outside_ids, rng);
+    return node;
+  }
+
+  void SearchNode(const Node* node, const P& query,
+                  index::SearchContext* context) const {
+    if (node == nullptr || context->StopAfterBudget()) return;
+    double d = this->QueryDist(data_[node->vantage], query,
+                               context->stats());
+    context->Emit(node->vantage, d);
+    if (d - context->Radius() < node->median) {
+      SearchNode(node->inside.get(), query, context);
+    }
+    if (d + context->Radius() >= node->median) {
+      SearchNode(node->outside.get(), query, context);
+    }
+  }
+
+  std::unique_ptr<Node> root_;
+};
+
+// Same results, distance counts and truncation flags, query by query.
+template <typename P>
+void ExpectSameSearch(const index::SearchIndex<P>& got,
+                      const index::SearchIndex<P>& want,
+                      const SearchRequest<P>& request,
+                      const std::string& context) {
+  SearchResponse a = got.Search(request);
+  SearchResponse b = want.Search(request);
+  ASSERT_TRUE(a.status.ok()) << context;
+  ASSERT_TRUE(b.status.ok()) << context;
+  EXPECT_EQ(a.results, b.results) << context;
+  EXPECT_EQ(a.stats.distance_computations, b.stats.distance_computations)
+      << context;
+  EXPECT_EQ(a.truncated, b.truncated) << context;
+}
+
+// kNN, range and kNN-within-radius requests around `q`, unbudgeted and
+// at budgets of 1, 7 and n / 3 distance computations.
+template <typename P>
+std::vector<SearchRequest<P>> VpRequests(const P& q, double radius,
+                                         size_t n) {
+  std::vector<SearchRequest<P>> requests;
+  for (uint64_t budget : {uint64_t{0}, uint64_t{1}, uint64_t{7},
+                          static_cast<uint64_t>(n / 3)}) {
+    requests.push_back(
+        SearchRequest<P>::Knn(q, 7).WithDistanceBudget(budget));
+    requests.push_back(
+        SearchRequest<P>::Range(q, radius).WithDistanceBudget(budget));
+    requests.push_back(SearchRequest<P>::KnnWithinRadius(q, 5, radius)
+                           .WithDistanceBudget(budget));
+  }
+  return requests;
+}
+
+// Points on the integer grid {1, 2, 3}^dim, each stored twice: ties in
+// every distance, zero distances between copies, no zero vector (the
+// angle metric rejects it).
+std::vector<Vector> DuplicatedGrid(size_t distinct, size_t dim,
+                                   util::Rng* rng) {
+  std::vector<Vector> data;
+  for (size_t i = 0; i < distinct; ++i) {
+    Vector p(dim);
+    for (double& c : p) c = 1.0 + static_cast<double>(rng->NextBounded(3));
+    data.push_back(p);
+    data.push_back(p);
+  }
+  return data;
+}
+
+TEST(FlatPath, VpTreeMatchesScalarPathBitExactly) {
+  for (size_t dim : {3u, 8u, 32u}) {
+    util::Rng data_rng(600 + dim);
+    const std::vector<std::vector<Vector>> datasets = {
+        dataset::UniformCube(360, dim, &data_rng),
+        DuplicatedGrid(150, dim, &data_rng)};
+    for (size_t set = 0; set < datasets.size(); ++set) {
+      const std::vector<Vector>& data = datasets[set];
+      std::vector<Vector> queries = QueryPoints(6, dim, &data_rng);
+      queries.push_back(data[3]);  // a stored point: distance-0 ties
+      for (const Metric<Vector>& tagged : TaggedMetrics()) {
+        const std::string context = tagged.name() + " dim " +
+                                    std::to_string(dim) + " set " +
+                                    std::to_string(set);
+        util::Rng flat_rng(11), scalar_rng(11), seed_rng(11);
+        VpTreeIndex<Vector> flat(data, tagged, &flat_rng);
+        VpTreeIndex<Vector> scalar(data, Untagged(tagged), &scalar_rng);
+        SeedVpTreeIndex<Vector> seed(data, tagged, &seed_rng);
+        EXPECT_EQ(flat.build_distance_computations(),
+                  seed.build_distance_computations())
+            << context;
+        EXPECT_EQ(scalar.build_distance_computations(),
+                  seed.build_distance_computations())
+            << context;
+        EXPECT_EQ(flat.IndexBits(), data.size() * 16 * 8) << context;
+        LinearScanIndex<Vector> scan(data, tagged);
+        for (const Vector& q : queries) {
+          // The 10th-nearest distance: range requests return a handful
+          // of points whatever the metric's scale.
+          const double radius = scan.KnnQuery(q, 10).back().distance;
+          for (const auto& request : VpRequests(q, radius, data.size())) {
+            ExpectSameSearch(flat, scalar, request, context);
+            ExpectSameSearch(flat, seed, request, context);
+          }
+        }
+      }
+    }
+  }
+
+  // Strings under edit distance take the scalar path; the node array
+  // must still reproduce the seed tree exactly.
+  util::Rng rng(13);
+  auto words = dataset::DnaSequences(150, 4, 6, 16, 0.1, &rng);
+  Metric<std::string> lev((metric::LevenshteinMetric()));
+  util::Rng vp_rng(5), seed_rng(5);
+  VpTreeIndex<std::string> vp(words, lev, &vp_rng);
+  SeedVpTreeIndex<std::string> seed(words, lev, &seed_rng);
+  EXPECT_EQ(vp.build_distance_computations(),
+            seed.build_distance_computations());
+  for (int q = 0; q < 8; ++q) {
+    const std::string& query = words[rng.NextBounded(words.size())];
+    for (const auto& request : VpRequests(query, 3.0, words.size())) {
+      ExpectSameSearch(vp, seed, request, "levenshtein");
     }
   }
 }

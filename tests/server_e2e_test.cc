@@ -4,7 +4,9 @@
 // per-query distance counts — for every index spec in the registry.
 // On top of that contract: writes over the wire are immediately
 // visible, admission control answers kUnavailable instead of dropping,
-// malformed streams get a kError frame then teardown, the perm cache
+// malformed streams get a kError frame then teardown, a point of the
+// wrong dimension gets kInvalidArgument (never an abort, never a WAL
+// record), the perm cache
 // replays bit-identically and invalidates across mutations and
 // compactions, the bound path only ever reduces distance computations,
 // and a durable store survives serve -> shutdown -> reopen with its
@@ -498,6 +500,100 @@ TEST(ServerE2E, GracefulShutdownPreservesWalTail) {
   ASSERT_NE(client, nullptr);
   auto found = client->Search(SearchRequest<Vector>::Knn(outlier, 1));
   ASSERT_TRUE(found.ok());
+  ASSERT_EQ(found.value().results.size(), 1u);
+  EXPECT_EQ(found.value().results[0].distance, 0.0);
+}
+
+TEST(ServerE2E, WrongDimensionSearchIsRejectedAndServerKeepsAnswering) {
+  SearchServer<Vector>::Options options;
+  options.perm_cache_capacity = 64;  // the cache probe must not see it
+  const Vector short_point{0.5, 0.5, 0.5};
+  for (const std::string& spec : kAllSpecs) {
+    SCOPED_TRACE(spec);
+    auto ts = StartServer(spec, 300, 6, 31, options);
+    ASSERT_NE(ts, nullptr);
+    auto client = Connect(*ts);
+    ASSERT_NE(client, nullptr);
+
+    std::vector<SearchRequest<Vector>> batch = MixedBatch(6, 9);
+    batch.resize(4);
+    QueryEngine<Vector> local_engine(1);
+    const auto local = ts->db->RunBatch(local_engine, batch);
+    // Wrong-dimension queries between valid ones, in every mode.
+    std::vector<SearchRequest<Vector>> mixed = {
+        batch[0], SearchRequest<Vector>::Knn(short_point, 3), batch[1],
+        SearchRequest<Vector>::Range(short_point, 0.5), batch[2],
+        SearchRequest<Vector>::KnnWithinRadius(Vector(7, 0.5), 2, 0.5),
+        batch[3]};
+    auto remote = client->SearchBatch(mixed);
+    ASSERT_TRUE(remote.ok()) << remote.status();
+    ASSERT_EQ(remote.value().size(), mixed.size());
+    for (size_t i = 0; i < mixed.size(); ++i) {
+      if (i % 2 == 1) {
+        EXPECT_EQ(remote.value()[i].status.code, WireCode::kInvalidArgument)
+            << "query " << i;
+        EXPECT_TRUE(remote.value()[i].results.empty());
+        EXPECT_EQ(remote.value()[i].stats.distance_computations, 0u);
+      } else {
+        ExpectBitIdentical(remote.value()[i], local, i / 2, spec);
+      }
+    }
+
+    // The server is still up and answering on the same connection.
+    EXPECT_TRUE(client->Ping().ok());
+    auto again = client->Search(batch[0]);
+    ASSERT_TRUE(again.ok()) << again.status();
+    ExpectBitIdentical(again.value(), local, 0, spec);
+  }
+}
+
+TEST(ServerE2E, WrongDimensionInsertIsRejectedBeforeTheWal) {
+  storage::Env* env = storage::Env::Default();
+  const std::string dir = ::testing::TempDir() + "/server_e2e_dim";
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  if (auto listing = env->ListDir(dir); listing.ok()) {
+    for (const std::string& file : listing.value()) {
+      env->DeleteFile(dir + "/" + file);
+    }
+  }
+
+  const Vector outlier{9.0, 9.0, 9.0, 9.0};
+  size_t stored = 0;
+  {
+    auto ts = StartServer("vp-tree", 200, 4, 17, {}, dir);
+    ASSERT_NE(ts, nullptr);
+    auto client = Connect(*ts);
+    ASSERT_NE(client, nullptr);
+    for (const Vector& bad : {Vector{1.0, 2.0, 3.0}, Vector(5, 1.0),
+                              Vector{}}) {
+      auto rejected = client->Insert(bad);
+      ASSERT_TRUE(rejected.ok()) << rejected.status();
+      EXPECT_EQ(rejected.value().status.code, WireCode::kInvalidArgument);
+    }
+    auto inserted = client->Insert(outlier);
+    ASSERT_TRUE(inserted.ok());
+    ASSERT_TRUE(inserted.value().status.ok());
+    EXPECT_EQ(inserted.value().id, 200u);  // no id went to a rejected point
+
+    // The next valid query is answered, not an abort.
+    auto found = client->Search(SearchRequest<Vector>::Knn(outlier, 1));
+    ASSERT_TRUE(found.ok()) << found.status();
+    ASSERT_TRUE(found.value().status.ok());
+    ASSERT_EQ(found.value().results.size(), 1u);
+    EXPECT_EQ(found.value().results[0].id, 200u);
+    stored = ts->db->Pin().Materialize().size();
+    EXPECT_EQ(stored, 201u);
+    ASSERT_TRUE(ts->db->SyncWal().ok());
+  }
+
+  // The WAL never held the rejected points: the store reopens whole.
+  auto reopened = StartServer("vp-tree", 0, 4, 17, {}, dir);
+  ASSERT_NE(reopened, nullptr);
+  EXPECT_EQ(reopened->db->Pin().Materialize().size(), stored);
+  auto client = Connect(*reopened);
+  ASSERT_NE(client, nullptr);
+  auto found = client->Search(SearchRequest<Vector>::Knn(outlier, 1));
+  ASSERT_TRUE(found.ok()) << found.status();
   ASSERT_EQ(found.value().results.size(), 1u);
   EXPECT_EQ(found.value().results[0].distance, 0.0);
 }
